@@ -32,10 +32,12 @@ staticcheck:
 race:
 	$(GO) test -race -timeout 20m ./internal/obs/... ./internal/dse/... ./internal/sched/... ./internal/evcache/... ./internal/fleetcache/... ./internal/serve/... ./internal/dist/... ./internal/ops/...
 
-# One-iteration pass over the exploration and fleet benchmarks: catches
-# bit-rot in the benchmark harness without paying for a real measurement.
+# One-iteration pass over the exploration, cold spill path and fleet
+# benchmarks: catches bit-rot in the benchmark harness without paying
+# for a real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dse/
+	$(GO) test -run '^$$' -bench BenchmarkCompileSpill -benchtime 1x ./internal/sched/
 	$(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchtime 1x ./internal/dist/
 
 # Extended verify: everything the tier-1 gate runs, plus vet,
@@ -43,12 +45,13 @@ bench-smoke:
 # (see ROADMAP.md).
 check: build vet staticcheck test race bench-smoke
 
-# Measure the exploration and fleet benchmarks and record the
-# trajectory against the pre-optimization baseline (the cfp-benchjson
-# parser handles multi-package `go test` output; see
+# Measure the exploration, cold spill path and fleet benchmarks and
+# record the trajectory against the pre-optimization baseline (the
+# cfp-benchjson parser handles multi-package `go test` output; see
 # docs/PERFORMANCE.md).
 bench:
 	( $(GO) test -run '^$$' -bench . -benchmem ./internal/dse/ && \
+	  $(GO) test -run '^$$' -bench BenchmarkCompileSpill -benchmem -cpu 1 ./internal/sched/ && \
 	  $(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchmem ./internal/dist/ ) | \
 		$(GO) run ./cmd/cfp-benchjson \
 			-baseline internal/dse/testdata/bench_baseline_pr2.txt \
@@ -63,19 +66,26 @@ bench:
 # allocs/op at 10%. BenchmarkExploreOpsSubset (the op-crossed grid, so
 # pattern rewrite and custom-unit scheduling are on the measured path)
 # gates ns/op only, at 15% — fused placement makes its allocation
-# profile noisier than the op-free twin. BenchmarkFleetWarm gates
-# ns/op only, at 30%: its
-# per-op time is dominated by HTTP round trips and job-poll alignment
-# (tens-of-ms scale), which even a minimum-of-repeats does not fully
-# de-noise — while a broken cache tier (recomputing instead of reading
-# through) is several-fold slower, so the loose limit still catches the
-# failure mode.
+# profile noisier than the op-free twin. BenchmarkCompileSpill (one
+# compile through seven spill rounds: the cold spill path the explorer
+# falls back to) runs single-threaded (-cpu 1, as recorded) and gates
+# ns/op only, at 30%: one tens-of-ms compile swings by a quarter on a
+# shared machine even across repeats, while a return to quadratic
+# spill rounds is 2-3x slower. BenchmarkFleetWarm gates ns/op only,
+# at 30%: its per-op time is dominated by HTTP round trips and job-poll
+# alignment (tens-of-ms scale), which even a minimum-of-repeats does not
+# fully de-noise — while a broken cache tier (recomputing instead of
+# reading through) is several-fold slower, so the loose limit still
+# catches the failure mode.
 bench-diff:
 	$(GO) test -run '^$$' -bench BenchmarkExploreSubset -benchtime 3x -count 3 ./internal/dse/ | \
 		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json
 	$(GO) test -run '^$$' -bench BenchmarkExploreOpsSubset -benchtime 3x -count 3 ./internal/dse/ | \
 		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
 			-regress-bench BenchmarkExploreOpsSubset -regress-metrics ns/op -max-regress 0.15
+	$(GO) test -run '^$$' -bench BenchmarkCompileSpill -benchtime 5x -count 5 -cpu 1 ./internal/sched/ | \
+		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
+			-regress-bench BenchmarkCompileSpill -regress-metrics ns/op -max-regress 0.30
 	$(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchtime 10x -count 3 ./internal/dist/ | \
 		$(GO) run ./cmd/cfp-benchjson -against BENCH_explore.json \
 			-regress-bench BenchmarkFleetWarm -regress-metrics ns/op -max-regress 0.30

@@ -77,7 +77,7 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 	}
 	lastDef := make([]int, maxReg+1) // node index + 1; 0 = no def seen
 	lastUses := make([][]int, maxReg+1)
-	var memOps []int
+	var mem memIndex
 
 	for i, in := range ins {
 		// Register dependences.
@@ -108,14 +108,19 @@ func BuildSkeleton(b *ir.Block, arch machine.Arch) *Skeleton {
 			lastDef[r] = i + 1
 			lastUses[r] = nil
 		}
-		// Memory dependences.
+		// Memory dependences. Only accesses to the same array can
+		// conflict, and only when at least one is a store, so each
+		// operation is tested against just those earlier operations
+		// (see memIndex). Every dependent (m, i) pair still gets
+		// exactly one edge, appended to Succs[m] in increasing i, so
+		// the skeleton is the one the all-pairs test would build.
 		if in.Op.IsMem() {
-			for _, m := range memOps {
+			for _, m := range mem.candidates(in) {
 				if d, dep := memDependence(ins[m], in); dep {
-					addEdge(m, i, d)
+					addEdge(int(m), i, d)
 				}
 			}
-			memOps = append(memOps, i)
+			mem.add(in, int32(i))
 		}
 	}
 
@@ -187,4 +192,104 @@ func (sk *Skeleton) CriticalPath() int {
 		}
 	}
 	return cp
+}
+
+// memIndex buckets a block's memory operations by array so dependence
+// construction tests each operation only against earlier operations
+// that can conflict with it: earlier stores for a load, everything for
+// a store, within the same array. Inside a bucket, accesses at constant
+// addresses are further indexed by address, because two different
+// constant addresses never conflict (every spill-slot access is one).
+type memIndex struct {
+	buckets []memBucket
+	scratch []int32
+}
+
+// memBucket indexes the earlier accesses to one array: every access,
+// those with a register address, and those with a constant address by
+// effective address.
+type memBucket struct {
+	mem     *ir.MemRef
+	any     memAccesses
+	regAddr memAccesses
+	byAddr  map[int32]*memAccesses
+}
+
+// memAccesses lists accesses in program order, and the stores among
+// them.
+type memAccesses struct{ all, stores []int32 }
+
+func (a *memAccesses) add(i int32, store bool) {
+	a.all = append(a.all, i)
+	if store {
+		a.stores = append(a.stores, i)
+	}
+}
+
+// conflicts returns the accesses a load (store=false) or store must be
+// tested against.
+func (a *memAccesses) conflicts(store bool) []int32 {
+	if store {
+		return a.all
+	}
+	return a.stores
+}
+
+func (x *memIndex) bucket(m *ir.MemRef) *memBucket {
+	for i := range x.buckets {
+		if x.buckets[i].mem == m {
+			return &x.buckets[i]
+		}
+	}
+	x.buckets = append(x.buckets, memBucket{mem: m})
+	return &x.buckets[len(x.buckets)-1]
+}
+
+// constAddr returns the effective address of a constant-address access,
+// computed exactly as disjoint compares it.
+func constAddr(in *ir.Instr) (int32, bool) {
+	if a := in.Args[0]; a.IsImm() {
+		return a.Imm + in.Off, true
+	}
+	return 0, false
+}
+
+// candidates returns, in no particular order, the earlier operations
+// that in may depend on: a superset of the dependent ones, each once.
+// The slice is valid until the next call.
+func (x *memIndex) candidates(in *ir.Instr) []int32 {
+	bk := x.bucket(in.Mem)
+	store := in.Op == ir.OpStore
+	addr, isConst := constAddr(in)
+	if !isConst {
+		return bk.any.conflicts(store)
+	}
+	// A constant address conflicts only with register-addressed
+	// accesses and with constant accesses to the same address.
+	x.scratch = append(x.scratch[:0], bk.regAddr.conflicts(store)...)
+	if same := bk.byAddr[addr]; same != nil {
+		x.scratch = append(x.scratch, same.conflicts(store)...)
+	}
+	return x.scratch
+}
+
+// add records memory operation i.
+func (x *memIndex) add(in *ir.Instr, i int32) {
+	bk := x.bucket(in.Mem)
+	store := in.Op == ir.OpStore
+	bk.any.add(i, store)
+	addr, isConst := constAddr(in)
+	if !isConst {
+		bk.regAddr.add(i, store)
+		return
+	}
+	if bk.byAddr == nil {
+		bk.byAddr = make(map[int32]*memAccesses)
+	}
+	same := bk.byAddr[addr]
+	if same == nil {
+		same = &memAccesses{}
+		bk.byAddr[addr] = same
+	}
+	same.add(i, store)
 }

@@ -83,6 +83,20 @@ func (lv *Liveness) LiveIn(b *ir.Block, r ir.Reg) bool {
 	return ok && int(r) < lv.nregs && s.get(r)
 }
 
+// Words returns b's live-in and live-out sets as bitset words: register
+// r is live when bit r%64 of word r/64 is set. Both are nil for a block
+// the analysis did not cover. The slices alias the analysis and must
+// not be modified.
+func (lv *Liveness) Words(b *ir.Block) (in, out []uint64) {
+	if s, ok := lv.in[b]; ok {
+		in = s.w
+	}
+	if s, ok := lv.out[b]; ok {
+		out = s.w
+	}
+	return in, out
+}
+
 // regset is a dense register bitset.
 type regset struct{ w []uint64 }
 

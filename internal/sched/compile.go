@@ -27,6 +27,11 @@ var ErrNoFit = errors.New("register pressure does not fit")
 // (test instrumentation).
 var DebugCompileLog func(format string, args ...interface{})
 
+// spillRoundHook, when set, sees each spill round's victim batch and
+// the IR it is about to rewrite (test instrumentation; the callee must
+// not mutate either).
+var spillRoundHook func(work *ir.Func, victims []ir.Reg)
+
 // Result is a completed compilation for one architecture.
 type Result struct {
 	Prog *vliw.Program
@@ -184,6 +189,9 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 			spsp.End()
 			return nil, fmt.Errorf("sched %s on %s: pressure %v exceeds %d regs/cluster with no spillable candidates",
 				prep.F.Name, arch, ra.MaxLive, ra.Capacity)
+		}
+		if spillRoundHook != nil {
+			spillRoundHook(work, victims)
 		}
 		n := SpillRewrite(work, victims)
 		spsp.Int("victims", int64(len(victims))).Int("rewritten", int64(n)).End()

@@ -69,25 +69,48 @@ func randomArch(r *rand.Rand, space []machine.Arch) machine.Arch {
 	return space[r.Intn(len(space))]
 }
 
+// fuzzTrial is one generated kernel with the unroll factor, machine and
+// input the torture test draws for it.
+type fuzzTrial struct {
+	src  string
+	u    int
+	arch machine.Arch
+	in   []int32
+}
+
+// fuzzTrials replays the torture test's fixed random sequence: 150
+// kernels, each with its unroll factor, machine and input.
+func fuzzTrials() []fuzzTrial {
+	r := rand.New(rand.NewSource(424242))
+	space := machine.FullSpace()
+	trials := make([]fuzzTrial, 150)
+	for i := range trials {
+		tr := &trials[i]
+		tr.src = randomKernel(r)
+		tr.u = []int{1, 2, 4}[r.Intn(3)]
+		tr.arch = randomArch(r, space)
+		tr.in = make([]int32, 5+r.Intn(20))
+		for j := range tr.in {
+			tr.in[j] = int32(r.Intn(512) - 256)
+		}
+	}
+	return trials
+}
+
 func TestRandomKernelsAcrossRandomMachines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles dozens of random kernels")
 	}
-	r := rand.New(rand.NewSource(424242))
-	space := machine.FullSpace()
-	trials := 150
-	for trial := 0; trial < trials; trial++ {
-		src := randomKernel(r)
+	for trial, tr := range fuzzTrials() {
+		src, u, arch, in := tr.src, tr.u, tr.arch, tr.in
 		fn, err := cc.CompileKernel(src)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
-		u := []int{1, 2, 4}[r.Intn(3)]
 		prepared, err := opt.Prepare(fn, u)
 		if err != nil {
 			t.Fatalf("trial %d: prepare u=%d: %v", trial, u, err)
 		}
-		arch := randomArch(r, space)
 		res, err := Compile(prepared, arch)
 		if err != nil {
 			// Pressure non-convergence is a legal outcome at high unroll
@@ -97,11 +120,7 @@ func TestRandomKernelsAcrossRandomMachines(t *testing.T) {
 		if err := Validate(res.Prog); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		n := int32(5 + r.Intn(20))
-		in := make([]int32, n)
-		for i := range in {
-			in[i] = int32(r.Intn(512) - 256)
-		}
+		n := int32(len(in))
 		ref := make([]int32, n+1)
 		got := make([]int32, n+1)
 		if _, err := ir.Interp(fn, ir.NewEnv(n).Bind("in", in).Bind("out", ref)); err != nil {

@@ -19,7 +19,7 @@ import (
 // class. The cached skeletons describe F's pristine blocks; the compile
 // driver only consults them while the working copy is still
 // instruction-for-instruction identical to F (first spill iteration,
-// single cluster, no min/max fusion).
+// single cluster, no custom-op rewriting, no min/max fusion).
 //
 // A Prepared is immutable after construction apart from the internal
 // cache and is safe for concurrent use by many workers.

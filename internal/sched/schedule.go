@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"customfit/internal/ddg"
 	"customfit/internal/ir"
@@ -47,10 +48,12 @@ func Schedule(f *ir.Func, arch machine.Arch, pl *Placement) (*vliw.Program, erro
 var AblatePressureThrottle bool
 
 // ScheduleWithCap schedules with an explicit per-cluster live-value
-// budget. The compile driver tightens the cap across failing spill
-// iterations: a lower cap serializes the schedule, trading ILP for
-// register pressure exactly the way a production compiler degrades on
-// register-starved machines.
+// budget: a lower cap serializes the schedule, trading ILP for register
+// pressure exactly the way a production compiler degrades on
+// register-starved machines. The compile driver keeps the cap fixed at
+// the register file minus pressureReserve across spill iterations
+// (shrinking it only multiplies forced placements); it switches to
+// in-order priority instead (see ScheduleMode).
 func ScheduleWithCap(f *ir.Func, arch machine.Arch, pl *Placement, cap int) (*vliw.Program, error) {
 	return ScheduleMode(f, arch, pl, cap, false)
 }
@@ -98,20 +101,34 @@ func scheduleFunc(f *ir.Func, arch machine.Arch, pl *Placement, cap int, inOrder
 // the scheduler's exact liveness).
 const pressureReserve = 2
 
-// readyHeap is a min-heap of instruction indices ordered by descending
-// critical-path height (ties to earlier program order), or pure program
-// order when inOrder is set (the pressure-safe fallback: program order
-// is a valid execution order, so the front of the queue is always
-// placeable and pressure tracks the program-order peak). The ordering
-// is total — no two entries compare equal — so the pop sequence is
-// independent of heap layout.
-type readyHeap struct {
-	idx     []int32
+// readyQueue holds the ready candidates of one block in priority order:
+// descending critical-path height (ties to earlier program order), or
+// pure program order when inOrder is set (the pressure-safe fallback:
+// program order is a valid execution order, so the front of the queue
+// is always placeable and pressure tracks the program-order peak). The
+// ordering is total — no two entries compare equal.
+//
+// Candidates live in two places. heap is a binary min-heap of the
+// candidates readied since they were last visited; front holds the
+// candidates deferred by earlier cycles as a sorted stack (best entry
+// last). pop takes the better of the two tops, so a cycle visits the
+// union in exact priority order without re-heapifying it.
+//
+// The visit sequence within a cycle is monotone: a visited candidate
+// ranks above everything still queued, and a successor it readies
+// ranks below it (height(pred) >= MinDelta + height(succ) with
+// MinDelta >= 0, ties to the lower index, and edges run forward in
+// program order). So the cycle's deferred candidates, in visit order,
+// are sorted and all rank above the unvisited rest of front: requeue
+// pushes them back on top in reverse and front stays sorted.
+type readyQueue struct {
+	heap    []int32
+	front   []int32
 	heights []int
 	inOrder bool
 }
 
-func (q *readyHeap) less(a, b int32) bool {
+func (q *readyQueue) less(a, b int32) bool {
 	if q.inOrder {
 		return a < b
 	}
@@ -121,52 +138,63 @@ func (q *readyHeap) less(a, b int32) bool {
 	return a < b
 }
 
-func (q *readyHeap) push(x int32) {
-	q.idx = append(q.idx, x)
-	i := len(q.idx) - 1
+// len is the number of queued candidates.
+func (q *readyQueue) len() int { return len(q.heap) + len(q.front) }
+
+func (q *readyQueue) push(x int32) {
+	q.heap = append(q.heap, x)
+	i := len(q.heap) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !q.less(q.idx[i], q.idx[p]) {
+		if !q.less(q.heap[i], q.heap[p]) {
 			break
 		}
-		q.idx[i], q.idx[p] = q.idx[p], q.idx[i]
+		q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
 		i = p
 	}
 }
 
-func (q *readyHeap) pop() int32 {
-	top := q.idx[0]
-	n := len(q.idx) - 1
-	q.idx[0] = q.idx[n]
-	q.idx = q.idx[:n]
+// pop removes and returns the highest-priority candidate.
+func (q *readyQueue) pop() int32 {
+	if nf := len(q.front) - 1; nf >= 0 && (len(q.heap) == 0 || q.less(q.front[nf], q.heap[0])) {
+		x := q.front[nf]
+		q.front = q.front[:nf]
+		return x
+	}
+	top := q.heap[0]
+	n := len(q.heap) - 1
+	q.heap[0] = q.heap[n]
+	q.heap = q.heap[:n]
 	if n > 0 {
 		q.down(0)
 	}
 	return top
 }
 
-func (q *readyHeap) down(i int) {
-	n := len(q.idx)
+func (q *readyQueue) down(i int) {
+	n := len(q.heap)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && q.less(q.idx[r], q.idx[l]) {
+		if r := l + 1; r < n && q.less(q.heap[r], q.heap[l]) {
 			m = r
 		}
-		if !q.less(q.idx[m], q.idx[i]) {
+		if !q.less(q.heap[m], q.heap[i]) {
 			return
 		}
-		q.idx[i], q.idx[m] = q.idx[m], q.idx[i]
+		q.heap[i], q.heap[m] = q.heap[m], q.heap[i]
 		i = m
 	}
 }
 
-func (q *readyHeap) reinit() {
-	for i := len(q.idx)/2 - 1; i >= 0; i-- {
-		q.down(i)
+// requeue returns a cycle's deferred candidates, given in visit order,
+// to the front stack.
+func (q *readyQueue) requeue(deferred []int32) {
+	for i := len(deferred) - 1; i >= 0; i-- {
+		q.front = append(q.front, deferred[i])
 	}
 }
 
@@ -301,10 +329,13 @@ func (rs *resources) tryPlace(in *ir.Instr, cycle int, pl *Placement) bool {
 // is built. All state except the escaping peak slice lives in the
 // Scratch arena.
 type pressure struct {
-	cap        int // per-cluster live-value budget
-	live       []int
-	peak       []int
-	isLive     []bool
+	cap  int // per-cluster live-value budget
+	live []int
+	peak []int
+	// liveRegs is the set of live registers in no particular order;
+	// livePos[r] is 1 + r's index in liveRegs, or 0 when r is dead.
+	liveRegs   []ir.Reg
+	livePos    []int32
 	remaining  []int32 // uses left within the block
 	immortal   []bool
 	regCluster []int
@@ -321,7 +352,8 @@ func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placemen
 	p.cap = cap
 	p.live = growInt(&sc.live, arch.Clusters)
 	p.peak = make([]int, arch.Clusters) // escapes via vliw.Block.SchedPeak
-	p.isLive = growBool(&sc.isLive, n)
+	p.liveRegs = sc.liveRegs[:0]
+	p.livePos = grow32(&sc.livePos, n)
 	p.remaining = grow32(&sc.remaining, n)
 	p.immortal = growBool(&sc.immortal, n)
 	p.regCluster = pl.RegCluster
@@ -335,15 +367,48 @@ func (p *pressure) init(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placemen
 			}
 		}
 	}
-	for r := ir.Reg(0); int(r) < n; r++ {
-		if lv.LiveOut(b, r) {
-			p.immortal[r] = true
+	liveIn, liveOut := lv.Words(b)
+	forEachBit(liveOut, n, func(r ir.Reg) { p.immortal[r] = true })
+	forEachBit(liveIn, n, func(r ir.Reg) {
+		if p.remaining[r] > 0 || p.immortal[r] {
+			p.add(r)
 		}
-		if lv.LiveIn(b, r) && (p.remaining[r] > 0 || p.immortal[r]) {
-			p.isLive[r] = true
-			p.live[p.clusterOf(r)]++
+	})
+}
+
+// forEachBit calls fn for every register below n whose bit is set in
+// the bitset words, in increasing order.
+func forEachBit(words []uint64, n int, fn func(ir.Reg)) {
+	for i, w := range words {
+		for w != 0 {
+			r := i*64 + bits.TrailingZeros64(w)
+			if r >= n {
+				return
+			}
+			fn(ir.Reg(r))
+			w &= w - 1
 		}
 	}
+}
+
+func (p *pressure) isLive(r ir.Reg) bool { return p.livePos[r] != 0 }
+
+// add marks r live and charges its cluster.
+func (p *pressure) add(r ir.Reg) {
+	p.liveRegs = append(p.liveRegs, r)
+	p.livePos[r] = int32(len(p.liveRegs))
+	p.live[p.clusterOf(r)]++
+}
+
+// kill marks r dead and releases its cluster.
+func (p *pressure) kill(r ir.Reg) {
+	i := p.livePos[r] - 1
+	last := p.liveRegs[len(p.liveRegs)-1]
+	p.liveRegs[i] = last
+	p.livePos[last] = i + 1
+	p.liveRegs = p.liveRegs[:len(p.liveRegs)-1]
+	p.livePos[r] = 0
+	p.live[p.clusterOf(r)]--
 }
 
 func (p *pressure) clusterOf(r ir.Reg) int {
@@ -364,14 +429,14 @@ func (p *pressure) wouldExceed(in *ir.Instr) bool {
 	limit := p.cap
 	cd := p.clusterOf(in.Dest)
 	delta := 0
-	if !p.isLive[in.Dest] {
+	if !p.isLive(in.Dest) {
 		delta++
 	}
 	for ai, a := range in.Args {
 		if !a.IsReg() || dupArg(in.Args[:ai], a.Reg) {
 			continue
 		}
-		if p.isLive[a.Reg] && !p.immortal[a.Reg] && p.remaining[a.Reg] == 1 &&
+		if p.isLive(a.Reg) && !p.immortal[a.Reg] && p.remaining[a.Reg] == 1 &&
 			p.clusterOf(a.Reg) == cd && a.Reg != in.Dest {
 			delta--
 		}
@@ -407,15 +472,13 @@ func (p *pressure) place(in *ir.Instr) {
 		if dupArg(in.Args[:ai], a.Reg) {
 			continue
 		}
-		if p.remaining[a.Reg] <= 0 && !p.immortal[a.Reg] && p.isLive[a.Reg] {
-			p.isLive[a.Reg] = false
-			p.live[p.clusterOf(a.Reg)]--
+		if p.remaining[a.Reg] <= 0 && !p.immortal[a.Reg] && p.isLive(a.Reg) {
+			p.kill(a.Reg)
 		}
 	}
-	if in.Op.HasDest() && !p.isLive[in.Dest] {
-		p.isLive[in.Dest] = true
+	if in.Op.HasDest() && !p.isLive(in.Dest) {
+		p.add(in.Dest)
 		cd := p.clusterOf(in.Dest)
-		p.live[cd]++
 		if p.live[cd] > p.peak[cd] {
 			p.peak[cd] = p.live[cd]
 		}
@@ -460,7 +523,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 	for i, np := range sk.NPreds {
 		unschedPreds[i] = int32(np)
 	}
-	ready := readyHeap{idx: sc.ready[:0], heights: sk.Heights, inOrder: inOrder}
+	ready := readyQueue{heap: sc.ready[:0], front: sc.front[:0], heights: sk.Heights, inOrder: inOrder}
 	for i := 0; i < n; i++ {
 		if unschedPreds[i] == 0 {
 			ready.push(int32(i))
@@ -504,18 +567,18 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 
 	for placed < n {
 		if cycle > maxCycles {
-			sc.ready, sc.deferred = ready.idx[:0], deferred[:0]
+			sc.ready, sc.front, sc.deferred, sc.liveRegs = ready.heap[:0], ready.front[:0], deferred[:0], pr.liveRegs[:0]
 			return nil, cert, fmt.Errorf("schedule did not converge after %d cycles (%d/%d ops placed)", cycle, placed, n)
 		}
 		deferred = deferred[:0]
 		placedThisCycle := 0
 		pressureDeferrals := 0
 		// Scanning the whole ready set every cycle is quadratic; after
-		// enough candidates fail, the rest of the heap almost certainly
+		// enough candidates fail, the rest of the queue almost certainly
 		// cannot issue this cycle either.
 		scanBudget := 8 * (arch.ALUs + arch.L2Ports + arch.Clusters + 4)
 		scanStart := scanBudget
-		for len(ready.idx) > 0 && scanBudget > 0 {
+		for ready.len() > 0 && scanBudget > 0 {
 			scanBudget--
 			i := ready.pop()
 			if int(earliest[i]) > cycle {
@@ -537,7 +600,7 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 		if pops := scanStart - scanBudget; pops > cert.maxScan {
 			cert.maxScan = pops
 		}
-		if scanBudget == 0 && len(ready.idx) > 0 {
+		if scanBudget == 0 && ready.len() > 0 {
 			cert.scanBound = true
 		}
 		// Pressure deadlock: every issuable candidate would overflow the
@@ -558,8 +621,8 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 					stuck[pr.clusterOf(ins[i].Dest)] = true
 				}
 			}
-			for r := 0; r < len(pr.isLive) && r < len(blame); r++ {
-				if pr.isLive[r] && stuck[pr.clusterOf(ir.Reg(r))] {
+			for _, r := range pr.liveRegs {
+				if int(r) < len(blame) && stuck[pr.clusterOf(r)] {
 					blame[r]++
 				}
 			}
@@ -598,11 +661,10 @@ func scheduleBlock(f *ir.Func, b *ir.Block, arch machine.Arch, pl *Placement, lv
 				}
 			}
 		}
-		ready.idx = append(ready.idx, deferred...)
-		ready.reinit()
+		ready.requeue(deferred)
 		cycle++
 	}
-	sc.ready, sc.deferred = ready.idx[:0], deferred[:0]
+	sc.ready, sc.front, sc.deferred, sc.liveRegs = ready.heap[:0], ready.front[:0], deferred[:0], pr.liveRegs[:0]
 	sb.Len = last + 1
 	sb.SchedPeak = pr.peak
 	cert.maxPressure = pr.maxChecked

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"customfit/internal/ir"
 	"customfit/internal/regalloc"
 	"customfit/internal/vliw"
 )
@@ -19,10 +20,12 @@ type Scratch struct {
 	unschedPreds []int32
 	earliest     []int32
 	ready        []int32
+	front        []int32
 	deferred     []int32
 
 	// per-function pressure state (sized to the register count)
-	isLive    []bool
+	livePos   []int32
+	liveRegs  []ir.Reg
 	immortal  []bool
 	remaining []int32
 	live      []int
