@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench bench-smoke bench-diff
+.PHONY: build test vet staticcheck race check perfbench bench bench-smoke bench-diff
 
 build:
 	$(GO) build ./...
@@ -40,10 +40,16 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkCompileSpill -benchtime 1x ./internal/sched/
 	$(GO) test -run '^$$' -bench BenchmarkFleetWarm -benchtime 1x ./internal/dist/
 
+# The repository benchmark (perfbench/) is its own Go module, so the
+# root build and tests never compile it; vet and test it here so an API
+# change that breaks it fails the check instead of the benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Extended verify: everything the tier-1 gate runs, plus vet,
-# staticcheck (when installed), the race pass, and the benchmark smoke
-# (see ROADMAP.md).
-check: build vet staticcheck test race bench-smoke
+# staticcheck (when installed), the race pass, the benchmark smoke and
+# the repository benchmark's module (see ROADMAP.md).
+check: build vet staticcheck test race bench-smoke perfbench
 
 # Measure the exploration, cold spill path and fleet benchmarks and
 # record the trajectory against the pre-optimization baseline (the

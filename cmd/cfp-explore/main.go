@@ -89,8 +89,6 @@ func main() {
 		load       = flag.String("load", "", "load previously saved results instead of exploring")
 		sample     = flag.Int("sample", 1, "evaluate every Nth machine (1 = full space)")
 		progress   = flag.Bool("progress", true, "print progress while exploring")
-		noMemo     = flag.Bool("no-memo", false, "disable arch-signature memoization (every arrangement runs real compiles; see docs/PERFORMANCE.md)")
-		noDelta    = flag.Bool("no-delta", false, "disable delta compilation (block-schedule reuse across neighboring architectures; see docs/PERFORMANCE.md)")
 		claims     = flag.Bool("claims", false, "print the paper's headline-claim quantities from the results")
 		cachePush  = flag.Bool("cache-push", true, "distributed runs: ship warm cache entries with each shard so workers skip compiles the fleet already did (needs -cache-dir; see docs/DISTRIBUTED.md)")
 		ablation   = flag.Bool("ablation", false, "run the compiler design-choice ablation study and exit")
@@ -196,8 +194,6 @@ func main() {
 			e := dse.NewExplorer()
 			e.Width = *width
 			e.Workers = localWorkers
-			e.DisableMemo = *noMemo
-			e.DisableDelta = *noDelta
 			cache, cerr := tool.OpenCache()
 			if cerr != nil {
 				fatal(cerr)

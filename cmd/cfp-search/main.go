@@ -37,7 +37,6 @@ func main() {
 		sample    = flag.Int("sample", 4, "evaluate every Nth machine of the space")
 		seed      = flag.Int64("seed", 1, "random seed for the stochastic strategies")
 		width     = flag.Int("width", 64, "reference workload width")
-		noDelta   = flag.Bool("no-delta", false, "disable delta compilation (block-schedule reuse across neighboring architectures; see docs/PERFORMANCE.md)")
 	)
 	tool := cli.NewTool("cfp-search", cli.WithCache(), cli.WithPrune(true), cli.WithOps())
 	flag.Parse()
@@ -68,16 +67,15 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	results, err := core.SearchCompare(ctx, core.SearchOptions{
-		Benchmark:    b,
-		CostCap:      *costCap,
-		Space:        space,
-		Ops:          opSet,
-		Sample:       *sample,
-		Width:        *width,
-		Seed:         *seed,
-		Prune:        *tool.Prune,
-		Cache:        cache,
-		DisableDelta: *noDelta,
+		Benchmark: b,
+		CostCap:   *costCap,
+		Space:     space,
+		Ops:       opSet,
+		Sample:    *sample,
+		Width:     *width,
+		Seed:      *seed,
+		Prune:     *tool.Prune,
+		Cache:     cache,
 	})
 	stop()
 	if errors.Is(err, core.ErrCancelled) {

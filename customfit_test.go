@@ -55,12 +55,16 @@ func TestPublicAPIModelsAndSpaces(t *testing.T) {
 	}
 }
 
-func TestPublicAPIFitIn(t *testing.T) {
+func TestPublicAPIFitContextArchs(t *testing.T) {
 	space := []customfit.Arch{
 		customfit.Baseline,
 		{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 4, Clusters: 2},
 	}
-	fit, err := customfit.FitIn([]*customfit.Benchmark{customfit.BenchmarkByName("G")}, 5, space)
+	fit, err := customfit.FitContext(context.Background(), customfit.FitOptions{
+		Benchmarks: []*customfit.Benchmark{customfit.BenchmarkByName("G")},
+		CostCap:    5,
+		Archs:      space,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,24 +116,6 @@ func TestPublicAPIExploreCancelled(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
-	}
-}
-
-func TestPublicAPIFitContextMatchesDeprecatedFitIn(t *testing.T) {
-	benches := []*customfit.Benchmark{customfit.BenchmarkByName("G")}
-	old, err := customfit.FitIn(benches, 5, smallSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxFit, err := customfit.FitContext(context.Background(), customfit.FitOptions{
-		Benchmarks: benches, CostCap: 5, Archs: smallSpace(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Best != ctxFit.Best || old.Cost != ctxFit.Cost {
-		t.Errorf("FitContext picked (%v, %f), FitIn picked (%v, %f)",
-			ctxFit.Best, ctxFit.Cost, old.Best, old.Cost)
 	}
 }
 

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,27 +33,17 @@ func main() {
 	a := bench.ByName("A") // 7x7 FIR: multiply- and register-hungry
 	h := bench.ByName("H") // 3x3 median: pure ALU issue width
 
-	fitA, err := core.CustomFitIn([]*bench.Benchmark{a}, budget, space)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fitA := fit([]*bench.Benchmark{a}, budget, space)
 	fmt.Printf("custom fit for %s: %s (cost %.1f) -> %.2fx on %s\n",
 		a.Name, fitA.Best, fitA.Cost, fitA.Speedups["A"], a.Name)
 
-	fitH, err := core.CustomFitIn([]*bench.Benchmark{h}, budget, space)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fitH := fit([]*bench.Benchmark{h}, budget, space)
 	fmt.Printf("custom fit for %s: %s (cost %.1f) -> %.2fx on %s\n\n",
 		h.Name, fitH.Best, fitH.Cost, fitH.Speedups["H"], h.Name)
 
 	// Cross-evaluate: run each kernel on the other's machine.
 	crossEval := func(b *bench.Benchmark, arch machine.Arch) float64 {
-		fit, err := core.CustomFitIn([]*bench.Benchmark{b}, 1e9, []machine.Arch{arch})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return fit.Speedups[b.Name]
+		return fit([]*bench.Benchmark{b}, 1e9, []machine.Arch{arch}).Speedups[b.Name]
 	}
 	aOnH := crossEval(a, fitH.Best)
 	hOnA := crossEval(h, fitA.Best)
@@ -61,10 +52,19 @@ func main() {
 	fmt.Printf("  %s on %s's machine: %.2fx (vs %.2fx on its own)\n", h.Name, a.Name, hOnA, fitH.Speedups["H"])
 
 	// And the compromise: fit for both at once.
-	both, err := core.CustomFitIn([]*bench.Benchmark{a, h}, budget, space)
+	both := fit([]*bench.Benchmark{a, h}, budget, space)
+	fmt.Printf("\nfit for both: %s (cost %.1f) -> A %.2fx, H %.2fx\n",
+		both.Best, both.Cost, both.Speedups["A"], both.Speedups["H"])
+}
+
+// fit custom-fits an architecture to benchmarks within archs under the
+// cost budget.
+func fit(benchmarks []*bench.Benchmark, budget float64, archs []machine.Arch) *core.FitResult {
+	res, err := core.CustomFitCtx(context.Background(), core.FitOptions{
+		Benchmarks: benchmarks, CostCap: budget, Archs: archs,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfit for both: %s (cost %.1f) -> A %.2fx, H %.2fx\n",
-		both.Best, both.Cost, both.Speedups["A"], both.Speedups["H"])
+	return res
 }

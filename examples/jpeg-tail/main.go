@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,10 +34,7 @@ func main() {
 		space = append(space, full[i])
 	}
 	budget := 8.0
-	fit, err := core.CustomFitIn(kernels, budget, space)
-	if err != nil {
-		log.Fatal(err)
-	}
+	fit := customFit(kernels, budget, space)
 	fmt.Printf("\nfit for the whole tail under cost %.1f: %s (cost %.1f)\n",
 		budget, fit.Best, fit.Cost)
 	for _, k := range kernels {
@@ -47,14 +45,8 @@ func main() {
 	// that maximizes one stage is rarely the one you should build.
 	fmt.Println("\nspecializing for a single stage instead:")
 	for _, target := range kernels {
-		only, err := core.CustomFitIn([]*bench.Benchmark{target}, budget, space)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cross, err := core.CustomFitIn(kernels, budget, []machine.Arch{only.Best})
-		if err != nil {
-			log.Fatal(err)
-		}
+		only := customFit([]*bench.Benchmark{target}, budget, space)
+		cross := customFit(kernels, budget, []machine.Arch{only.Best})
 		fmt.Printf("  fit %-2s -> %s (cost %.1f): C %.2fx  G %.2fx  E %.2fx\n",
 			target.Name, only.Best, only.Cost,
 			cross.Speedups["C"], cross.Speedups["G"], cross.Speedups["E"])
@@ -88,4 +80,16 @@ func main() {
 		}
 		fmt.Printf("  %-2s %7d cycles  IPC %.2f  verified\n", b.Name, st.Cycles, st.IPC)
 	}
+}
+
+// customFit fits an architecture to kernels within archs under the
+// cost budget.
+func customFit(kernels []*bench.Benchmark, budget float64, archs []machine.Arch) *core.FitResult {
+	res, err := core.CustomFitCtx(context.Background(), core.FitOptions{
+		Benchmarks: kernels, CostCap: budget, Archs: archs,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

@@ -202,27 +202,6 @@ type FitResult struct {
 	Results *dse.Results
 }
 
-// CustomFit searches the full design space for the architecture that
-// maximizes mean speedup over the given benchmarks without exceeding
-// costCap — the paper's headline flow. Pass a single benchmark to
-// specialize for one algorithm (and read the Results to see what that
-// choice does to everything else).
-//
-// Deprecated: use CustomFitCtx with FitOptions (cancellable, and
-// carries the cache/width/parallelism knobs). This wrapper runs it
-// under a background context.
-func CustomFit(benchmarks []*bench.Benchmark, costCap float64) (*FitResult, error) {
-	return CustomFitCtx(context.Background(), FitOptions{Benchmarks: benchmarks, CostCap: costCap})
-}
-
-// CustomFitIn is CustomFit over a caller-chosen architecture subset
-// (e.g. a sampled space for quick runs).
-//
-// Deprecated: use CustomFitCtx with FitOptions.Archs.
-func CustomFitIn(benchmarks []*bench.Benchmark, costCap float64, archs []machine.Arch) (*FitResult, error) {
-	return CustomFitCtx(context.Background(), FitOptions{Benchmarks: benchmarks, CostCap: costCap, Archs: archs})
-}
-
 func ensureBaseline(archs []machine.Arch) []machine.Arch {
 	for _, a := range archs {
 		if a == machine.Baseline {

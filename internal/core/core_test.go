@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestInterpretAgreesWithRun(t *testing.T) {
 	}
 }
 
-func TestCustomFitInPicksWithinBudget(t *testing.T) {
+func TestCustomFitCtxPicksWithinBudget(t *testing.T) {
 	space := []machine.Arch{
 		machine.Baseline,
 		{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 2, L2Lat: 4, Clusters: 2},
@@ -85,7 +86,7 @@ func TestCustomFitInPicksWithinBudget(t *testing.T) {
 		{ALUs: 16, MULs: 8, Regs: 512, L2Ports: 4, L2Lat: 2, Clusters: 2},
 	}
 	d := bench.ByName("D")
-	fit, err := CustomFitIn([]*bench.Benchmark{d}, 8, space)
+	fit, err := CustomFitCtx(context.Background(), FitOptions{Benchmarks: []*bench.Benchmark{d}, CostCap: 8, Archs: space})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestCustomFitInPicksWithinBudget(t *testing.T) {
 		t.Errorf("fit speedup %.2f < 1", fit.Speedups["D"])
 	}
 	// An absurdly small budget must fail cleanly.
-	if _, err := CustomFitIn([]*bench.Benchmark{d}, 0.1, space); err == nil {
+	if _, err := CustomFitCtx(context.Background(), FitOptions{Benchmarks: []*bench.Benchmark{d}, CostCap: 0.1, Archs: space}); err == nil {
 		t.Error("impossible budget accepted")
 	}
 }

@@ -51,13 +51,6 @@ type ExploreOptions struct {
 	// Parallelism bounds concurrent compile workers (default
 	// GOMAXPROCS).
 	Parallelism int
-	// DisableMemo turns off arch-signature memoization and the
-	// persistent cache (see docs/PERFORMANCE.md).
-	DisableMemo bool
-	// DisableDelta turns off delta compilation (the block-schedule reuse
-	// cache behind cheap neighbor re-evaluation; see docs/PERFORMANCE.md).
-	// Results are bit-identical either way.
-	DisableDelta bool
 	// CacheDir, when non-empty, persists evaluation sweeps under this
 	// directory (content-addressed; results identical, warm re-runs
 	// near-instant — see docs/PERFORMANCE.md).
@@ -131,8 +124,6 @@ func Explore(ctx context.Context, opts ExploreOptions) (*dse.Results, error) {
 	e.Archs = opts.resolveArchs()
 	e.Width = opts.Width
 	e.Workers = opts.Parallelism
-	e.DisableMemo = opts.DisableMemo
-	e.DisableDelta = opts.DisableDelta
 	e.Progress = opts.Progress
 	cache, own, err := opts.openCache()
 	if err != nil {
@@ -181,7 +172,10 @@ type FitOptions struct {
 }
 
 // CustomFitCtx explores the space and selects the best architecture for
-// opts.Benchmarks under opts.CostCap. It returns ErrInfeasible (wrapped)
+// opts.Benchmarks under opts.CostCap — the paper's headline flow. Pass
+// a single benchmark to specialize for one algorithm (and read the
+// Results to see what that choice does to everything else). It returns
+// ErrInfeasible (wrapped)
 // when no explored architecture fits the cap, and ErrCancelled when ctx
 // ends first.
 func CustomFitCtx(ctx context.Context, opts FitOptions) (*FitResult, error) {
@@ -229,9 +223,6 @@ type SearchOptions struct {
 	// Prune enables bound-guided pruning for the deterministic
 	// strategies (exact: identical optima, fewer compiles).
 	Prune bool
-	// DisableDelta turns off delta compilation in the evaluator backing
-	// the objective (see ExploreOptions.DisableDelta).
-	DisableDelta bool
 	// CacheDir / Cache as in ExploreOptions.
 	CacheDir string
 	Cache    *evcache.Cache
@@ -260,7 +251,6 @@ func SearchCompare(ctx context.Context, opts SearchOptions) ([]search.Result, er
 		space = machine.CrossOps(space, opts.Ops, machine.DefaultMasks(opts.Ops))
 	}
 	ev := dse.NewEvaluator()
-	ev.DisableDelta = opts.DisableDelta
 	if opts.Width > 0 {
 		ev.Width = opts.Width
 	} else {
@@ -271,7 +261,9 @@ func SearchCompare(ctx context.Context, opts SearchOptions) ([]search.Result, er
 	if err != nil {
 		return nil, err
 	}
-	ev.Cache = cache
+	if cache != nil {
+		ev.Cache = cache
+	}
 	if own {
 		defer cache.Close()
 	}

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"customfit/internal/bench"
@@ -27,60 +28,60 @@ func exploreBenchArchs() []machine.Arch {
 // BenchmarkEvaluate measures the per-evaluation backend cost (unroll
 // sweep, partition, schedule, allocate) with the prepared-IR cache warm,
 // cycling through distinct architectures so every iteration performs
-// real backend work. Signature memoization and delta compilation are
-// both disabled so the number is an honest cold per-compile cost — the
-// baseline BenchmarkEvaluateDelta is measured against — and a reused
-// Scratch arena matches the explorer worker's steady state.
+// real backend work. It runs the uncached sweep through the cold
+// CompilePrepared driver, so the number is an honest cold per-compile
+// cost — the baseline BenchmarkEvaluateDelta is measured against — and
+// a reused Scratch arena matches the explorer worker's steady state.
 func BenchmarkEvaluate(b *testing.B) {
 	ev := NewEvaluator()
 	ev.Width = 48
-	ev.DisableMemo = true
-	ev.DisableDelta = true
+	ev.compile = sched.CompilePrepared
 	bm := bench.ByName("G")
 	archs := exploreBenchArchs()
 	for _, u := range UnrollFactors {
 		ev.prepare(nil, bm, u)
 	}
 	sc := sched.NewScratch()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.EvaluateScratch(bm, archs[i%len(archs)], sc)
+		ev.runSweep(ctx, nil, bm, archs[i%len(archs)], sc)
 	}
 }
 
 // BenchmarkEvaluateDelta measures the steady-state neighbor
-// re-evaluation path the stochastic search strategies sit on: delta
-// compilation enabled, caches warm, cycling through a one-parameter
-// neighbor ring so every iteration is the kind of move hill climbing
-// and annealing generate. Compare against BenchmarkEvaluate (the cold
-// full driver) for the delta speedup.
+// re-evaluation path the stochastic search strategies sit on: the
+// uncached sweep through delta compilation, caches warm, cycling
+// through a one-parameter neighbor ring so every iteration is the kind
+// of move hill climbing and annealing generate. Compare against
+// BenchmarkEvaluate (the cold full driver) for the delta speedup.
 func BenchmarkEvaluateDelta(b *testing.B) {
 	ev := NewEvaluator()
 	ev.Width = 48
-	ev.DisableMemo = true
 	bm := bench.ByName("G")
 	ring := deltaNeighborRing()
 	for _, u := range UnrollFactors {
 		ev.prepare(nil, bm, u)
 	}
 	sc := sched.NewScratch()
+	ctx := context.Background()
 	for r := 0; r < 2; r++ {
 		for _, a := range ring {
-			ev.EvaluateScratch(bm, a, sc)
+			ev.runSweep(ctx, nil, bm, a, sc)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.EvaluateScratch(bm, ring[i%len(ring)], sc)
+		ev.runSweep(ctx, nil, bm, ring[i%len(ring)], sc)
 	}
 }
 
 // BenchmarkEvaluateWarmCache measures the persistent-cache hit path as
 // a fresh process would see it: a new evaluator per iteration (so the
-// in-process memo never hits and the kernel-class hash is recomputed)
-// resolving evaluations from a shared warm cache.
+// kernel-class hash is recomputed) resolving evaluations from a shared
+// warm cache.
 func BenchmarkEvaluateWarmCache(b *testing.B) {
 	cache, err := evcache.Open("")
 	if err != nil {

@@ -87,7 +87,7 @@ func TestWarmCacheSpeedsUpExploration(t *testing.T) {
 
 // TestSharedCacheConcurrentEvaluators exercises the cache's concurrent
 // paths the way separate warm processes would: several evaluators (each
-// with its own memo) sharing one cache, racing on the same keys.
+// with its own prepared IR) sharing one cache, racing on the same keys.
 func TestSharedCacheConcurrentEvaluators(t *testing.T) {
 	cache, err := evcache.Open("")
 	if err != nil {
@@ -160,45 +160,5 @@ func TestLowerBoundCyclesAdmissible(t *testing.T) {
 		if lb > evl.Cycles {
 			t.Errorf("%v: bound %d exceeds real sweep cycles %d (inadmissible)", a, lb, evl.Cycles)
 		}
-	}
-}
-
-// TestCacheDisabledWithMemoOff pins DisableMemo's contract: it bypasses
-// the persistent cache too, so honest per-compile measurements stay
-// honest even with a warm cache attached.
-func TestCacheDisabledWithMemoOff(t *testing.T) {
-	cache, err := evcache.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := bench.ByName("G")
-	arch := machine.Arch{ALUs: 4, MULs: 2, Regs: 128, L2Ports: 1, L2Lat: 4, Clusters: 1}
-
-	warmer := NewEvaluator()
-	warmer.Width = 32
-	warmer.Cache = cache
-	warmer.Evaluate(b, arch)
-	if cache.Stats().Misses == 0 {
-		t.Fatal("warmer never touched the cache")
-	}
-
-	ev := NewEvaluator()
-	ev.Width = 32
-	ev.Cache = cache
-	ev.DisableMemo = true
-	before := cache.Stats()
-	ev.Evaluate(b, arch)
-	ev.Evaluate(b, arch)
-	after := cache.Stats()
-	if after != before {
-		t.Errorf("DisableMemo run touched the cache: %+v -> %+v", before, after)
-	}
-	if got := ev.Compilations.Load(); got < 2 {
-		t.Errorf("DisableMemo performed %d compilations for 2 evaluations", got)
-	}
-	// CacheCovers must report false under DisableMemo even though the
-	// key is resident.
-	if ev.CacheCovers(b, []machine.Arch{arch}) {
-		t.Error("CacheCovers ignored DisableMemo")
 	}
 }

@@ -91,10 +91,9 @@ func TestRunCtxCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestCancelDoesNotPoisonCaches: a cancelled run must leave the memo
-// and the persistent cache in a state where a subsequent uncancelled
-// run over the same Evaluator/cache still produces the uncached
-// results.
+// TestCancelDoesNotPoisonCaches: a cancelled run must leave the
+// persistent cache in a state where a subsequent uncancelled run over
+// the same cache still produces the uncached results.
 func TestCancelDoesNotPoisonCaches(t *testing.T) {
 	dir := t.TempDir()
 

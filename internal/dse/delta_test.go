@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -14,9 +15,9 @@ import (
 
 // TestDeltaNeighborWalksBitIdentical is the delta-compilation property
 // test: random neighbor walks — the exact move set the stochastic
-// search strategies use (search.Neighbors) — evaluated with delta
-// compilation enabled must be bit-identical to a fresh full evaluation
-// of every visited architecture. Two walkers per kernel share one
+// search strategies use (search.Neighbors) — swept through delta
+// compilation must be bit-identical to a fresh sweep through the cold
+// full driver at every visited architecture. Two walkers per kernel share one
 // delta-enabled evaluator, so under -race this also exercises
 // concurrent access to the per-kernel delta caches (block-schedule
 // ring, allocation memo, partition-class state construction).
@@ -27,16 +28,15 @@ func TestDeltaNeighborWalksBitIdentical(t *testing.T) {
 		inSpace[a] = true
 	}
 
-	// Both evaluators skip signature memoization so every step compares
-	// real compiles: the delta path on one side, the full driver on the
+	// Both sides run the uncached sweep so every step compares real
+	// compiles: the delta path on one side, the full driver on the
 	// other.
 	delta := NewEvaluator()
 	delta.Width = 32
-	delta.DisableMemo = true
 	fresh := NewEvaluator()
 	fresh.Width = 32
-	fresh.DisableMemo = true
-	fresh.DisableDelta = true
+	fresh.compile = sched.CompilePrepared
+	ctx := context.Background()
 
 	// Full kernel sweep with long walks normally; under the race
 	// detector (or -short) shrink to two kernels and shorter walks. The
@@ -62,8 +62,12 @@ func TestDeltaNeighborWalksBitIdentical(t *testing.T) {
 				cur := space[rng.Intn(len(space))]
 				sc := sched.NewScratch()
 				for s := 0; s < steps; s++ {
-					got := delta.EvaluateScratch(bm, cur, sc)
-					want := fresh.Evaluate(bm, cur)
+					got, gerr := delta.runSweep(ctx, nil, bm, cur, sc)
+					want, werr := fresh.runSweep(ctx, nil, bm, cur, nil)
+					if gerr != nil || werr != nil {
+						errs <- fmt.Errorf("%s step %d: sweep errors %v, %v", bm.Name, s, gerr, werr)
+						return
+					}
 					if got != want {
 						errs <- fmt.Errorf("%s step %d arch %+v: delta %+v != fresh %+v",
 							bm.Name, s, cur, got, want)
@@ -111,20 +115,20 @@ func TestDeltaSteadyStateAllocs(t *testing.T) {
 	}
 	ev := NewEvaluator()
 	ev.Width = 48
-	ev.DisableMemo = true
 	bm := bench.ByName("G")
 	ring := deltaNeighborRing()
 	sc := sched.NewScratch()
+	ctx := context.Background()
 	for r := 0; r < 2; r++ {
 		for _, a := range ring {
-			if got := ev.EvaluateScratch(bm, a, sc); got.Failed {
+			if got, err := ev.runSweep(ctx, nil, bm, a, sc); err != nil || got.Failed {
 				t.Fatalf("warmup compile failed for %+v", a)
 			}
 		}
 	}
 	i := 0
 	avg := testing.AllocsPerRun(50, func() {
-		ev.EvaluateScratch(bm, ring[i%len(ring)], sc)
+		ev.runSweep(ctx, nil, bm, ring[i%len(ring)], sc)
 		i++
 	})
 	// Budget with headroom over the measured steady state (~0); the cold

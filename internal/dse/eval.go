@@ -79,34 +79,6 @@ type fnEntry struct {
 	err  error
 }
 
-// sweepResult is the architecture-signature-invariant part of one
-// unroll sweep: everything Evaluate computes except the cycle-time
-// derate. runs is how many backend compilations the sweep performed
-// (memoized hits re-count them as logical runs, the paper's Table 3
-// accounting). cancelled marks a sweep abandoned mid-way because the
-// context ended; cancelled sweeps are never memoized or cached.
-type sweepResult struct {
-	unroll    int
-	cycles    int64
-	spilled   int
-	failed    bool
-	cancelled bool
-	runs      int64
-}
-
-// sweepEntry is a once-guarded memoized sweep for one signature class.
-type sweepEntry struct {
-	once sync.Once
-	res  sweepResult
-}
-
-// memoKey identifies a memoized sweep: the backend sees only the
-// benchmark kernel and the architecture's backend signature.
-type memoKey struct {
-	bench string
-	sig   archSig
-}
-
 // Evaluator compiles benchmarks for architectures with caching.
 type Evaluator struct {
 	// Width is the reference workload width in pixels.
@@ -115,34 +87,29 @@ type Evaluator struct {
 	Seed int64
 	// Cycle is the cycle-time model applied to raw cycles.
 	Cycle machine.CycleModel
-	// DisableMemo turns off arch-signature memoization so every
-	// evaluation runs real backend compiles (benchmarks, equivalence
-	// tests). It also bypasses Cache: both layers exist to avoid
-	// backend work, which is exactly what DisableMemo runs measure.
-	DisableMemo bool
-	// DisableDelta turns off delta compilation (the per-kernel cache of
-	// reusable block schedules and allocation verdicts that makes
-	// one-parameter neighbor re-evaluation cheap; see
-	// sched.CompilePreparedDelta and docs/PERFORMANCE.md). Results are
-	// bit-identical either way — the switch exists for measurement and
-	// A/B verification, not correctness.
-	DisableDelta bool
-	// Cache, when set, persists evaluation sweeps across processes:
-	// content-addressed by hash(kernel source, unroll policy, compiler
-	// fingerprint, reference workload) × backend signature (see
-	// internal/evcache and docs/PERFORMANCE.md). Exact by the same
-	// argument as the signature memo; a warm cache makes a re-run of
-	// the full sweep near-instant.
+	// Cache is the evaluator's result store: one sweep per (kernel
+	// class, backend signature), content-addressed by hash(kernel
+	// source, unroll policy, compiler fingerprint, reference workload)
+	// × backend signature (see internal/evcache, archSig and
+	// docs/PERFORMANCE.md). NewEvaluator attaches a memory-only cache,
+	// which shares one sweep across every architecture of a signature
+	// class; replace it (never with nil) by a persistent or
+	// fleet-tiered cache to share sweeps across processes as well — a
+	// warm cache makes a re-run of the full sweep near-instant.
 	Cache *evcache.Cache
+
+	// compile is the backend entry point of a real sweep:
+	// sched.CompilePreparedDelta, or sched.CompilePrepared where a test
+	// or benchmark needs the cold driver (bit-identical either way).
+	compile func(*obs.Span, *sched.Prepared, machine.Arch, *sched.Scratch) (*sched.Result, error)
 
 	mu    sync.Mutex
 	cache map[string]map[int]*prepared // bench -> unroll -> artifacts
 	fns   map[string]*fnEntry          // bench -> lowered IR
-	memo  map[memoKey]*sweepEntry      // signature class -> sweep
 	keys  map[string]string            // bench -> kernel-class hash
 
 	// Compilations counts backend runs (the paper's Table 3 "# runs").
-	// Signature-memoized evaluations count the cached sweep's runs: the
+	// Evaluations served by Cache count the stored sweep's runs: the
 	// paper's metric is logical compilations, not deduplicated work
 	// (dse.compile_memo_hits tracks the dedup).
 	Compilations atomic.Int64
@@ -161,15 +128,17 @@ func (e *Evaluator) PhaseTimes() (compile, simulate time.Duration) {
 }
 
 // NewEvaluator returns an evaluator with the standard reference
-// workload (96 pixels, seed 1).
+// workload (96 pixels, seed 1) and a memory-only result store.
 func NewEvaluator() *Evaluator {
+	mem, _ := evcache.Open("") // memory-only: cannot fail
 	return &Evaluator{
-		Width: 96,
-		Seed:  1,
-		Cycle: machine.DefaultCycleModel,
-		cache: map[string]map[int]*prepared{},
-		fns:   map[string]*fnEntry{},
-		memo:  map[memoKey]*sweepEntry{},
+		Width:   96,
+		Seed:    1,
+		Cycle:   machine.DefaultCycleModel,
+		Cache:   mem,
+		compile: sched.CompilePreparedDelta,
+		cache:   map[string]map[int]*prepared{},
+		fns:     map[string]*fnEntry{},
 	}
 }
 
@@ -270,27 +239,17 @@ func (e *Evaluator) EvaluateScratchCtx(ctx context.Context, b *bench.Benchmark, 
 		esp.Str("bench", b.Name).Str("arch", arch.String())
 		defer esp.End()
 	}
-	var sw sweepResult
-	if e.DisableMemo {
-		sw = e.runSweep(ctx, esp, b, arch, sc)
-	} else {
-		sw = e.memoSweep(ctx, esp, b, arch, sc)
-	}
-	ev := Evaluation{
-		Arch:      arch,
-		Bench:     b.Name,
-		Unroll:    sw.unroll,
-		Cycles:    sw.cycles,
-		Spilled:   sw.spilled,
-		Failed:    sw.failed,
-		Cancelled: sw.cancelled,
-	}
-	if !sw.failed && !sw.cancelled {
-		// The derate is the only architecture-specific factor the
-		// backend result does not cover; it is constant and positive
-		// across the sweep, so the min-cycles sweep winner is also the
-		// min-time winner.
-		ev.Time = float64(sw.cycles) * e.Cycle.Derate(arch)
+	sw, err := e.sweep(ctx, esp, b, arch, sc)
+	ev := Evaluation{Arch: arch, Bench: b.Name, Cancelled: err != nil}
+	if err == nil {
+		ev.Unroll, ev.Cycles, ev.Spilled, ev.Failed = sw.Unroll, sw.Cycles, sw.Spilled, sw.Failed
+		if !sw.Failed {
+			// The derate is the only architecture-specific factor the
+			// backend result does not cover; it is constant and positive
+			// across the sweep, so the min-cycles sweep winner is also
+			// the min-time winner.
+			ev.Time = float64(sw.Cycles) * e.Cycle.Derate(arch)
+		}
 	}
 	if esp != nil {
 		esp.Int("unroll", int64(ev.Unroll)).Int("cycles", ev.Cycles)
@@ -304,91 +263,27 @@ func (e *Evaluator) EvaluateScratchCtx(ctx context.Context, b *bench.Benchmark, 
 	return ev
 }
 
-// memoSweep resolves one evaluation through the arch-signature memo.
-// Cancelled computes never stay memoized: the poisoned entry is dropped
-// so a later (live) caller recomputes it, and a live waiter that
-// coalesced onto a cancelled compute retries instead of inheriting the
-// cancellation.
-func (e *Evaluator) memoSweep(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) sweepResult {
-	key := memoKey{bench: b.Name, sig: sigOf(arch)}
-	for {
-		e.mu.Lock()
-		ent, ok := e.memo[key]
-		if !ok {
-			ent = &sweepEntry{}
-			e.memo[key] = ent
-		}
-		e.mu.Unlock()
-		hit := true
-		ent.once.Do(func() {
-			ent.res = e.sweepThroughCache(ctx, esp, b, arch, sc)
-			hit = false
-		})
-		sw := ent.res
-		if !sw.cancelled {
-			if hit {
-				// The memoized sweep stands in for this arrangement's
-				// compilations: count them as logical runs (Table 3) and
-				// record the dedup.
-				e.Compilations.Add(sw.runs)
-				obs.GetCounter("dse.compiles").Add(sw.runs)
-				obs.GetCounter("dse.compile_memo_hits").Inc()
-			}
-			return sw
-		}
-		e.mu.Lock()
-		if e.memo[key] == ent {
-			delete(e.memo, key)
-		}
-		e.mu.Unlock()
-		if !hit || ctx.Err() != nil {
-			return sw // our own compute was cancelled, or we are too
-		}
-		// A live caller coalesced onto someone else's cancelled compute:
-		// retry against a fresh memo entry.
-	}
-}
-
-// sweepThroughCache resolves one signature class's sweep through the
-// persistent cache when one is attached, running the real sweep only
-// on a cache miss. A hit stands in for this class's compilations the
-// same way a memo hit does: the cached sweep's runs are re-counted as
-// logical runs (Table 3 accounting), so Results and Stats are
-// bit-identical whether the cache is cold, warm, or absent.
-func (e *Evaluator) sweepThroughCache(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) sweepResult {
-	if e.Cache == nil {
-		return e.runSweep(ctx, esp, b, arch, sc)
-	}
+// sweep resolves one evaluation through the result store: a single
+// DoErr per (kernel class, backend signature), so every architecture of
+// a signature class shares one real sweep — within this run and, with a
+// persistent or fleet cache attached, across runs and processes. A hit
+// (including a wait on another worker's in-flight sweep) stands in for
+// this arrangement's compilations: the stored sweep's runs are
+// re-counted as logical runs (the paper's Table 3 accounting), so
+// Results and Stats are identical whether the store is cold, warm or
+// shared. A cancelled sweep aborts the compute, so it is never stored
+// or handed to coalesced waiters, which recompute it themselves.
+func (e *Evaluator) sweep(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) (evcache.Entry, error) {
 	key := CacheKey(e.kernelClass(b), arch)
-	ce, hit, err := e.Cache.DoErr(b.Name, key, func() (evcache.Entry, error) {
-		sw := e.runSweep(ctx, esp, b, arch, sc)
-		if sw.cancelled {
-			// Abort the singleflight: a half-finished sweep must never be
-			// persisted or handed to coalesced waiters as the real result.
-			return evcache.Entry{}, cancelledErr(ctx)
-		}
-		return evcache.Entry{
-			Unroll:  sw.unroll,
-			Cycles:  sw.cycles,
-			Spilled: sw.spilled,
-			Failed:  sw.failed,
-			Runs:    sw.runs,
-		}, nil
+	sw, hit, err := e.Cache.DoErr(b.Name, key, func() (evcache.Entry, error) {
+		return e.runSweep(ctx, esp, b, arch, sc)
 	})
-	if err != nil {
-		return sweepResult{cancelled: true}
+	if err == nil && hit {
+		e.Compilations.Add(sw.Runs)
+		obs.GetCounter("dse.compiles").Add(sw.Runs)
+		obs.GetCounter("dse.compile_memo_hits").Inc()
 	}
-	if hit {
-		e.Compilations.Add(ce.Runs)
-		obs.GetCounter("dse.compiles").Add(ce.Runs)
-	}
-	return sweepResult{
-		unroll:  ce.Unroll,
-		cycles:  ce.Cycles,
-		spilled: ce.Spilled,
-		failed:  ce.Failed,
-		runs:    ce.Runs,
-	}
+	return sw, err
 }
 
 // KernelClass returns a benchmark's content-addressed kernel-class
@@ -442,14 +337,11 @@ func (e *Evaluator) kernelClass(b *bench.Benchmark) string {
 // observable IR or visit counts; cached sweeps self-invalidate.
 const prepPipelineVersion = 1
 
-// CacheCovers reports whether the attached persistent cache already
-// holds an entry for every (b, arch) pair — in which case an explorer
-// can skip the prepare warm-up (frontend compile plus reference run)
-// entirely, the dominant cost of a fully warm re-run.
+// CacheCovers reports whether the result store already holds an entry
+// for every (b, arch) pair — in which case an explorer can skip the
+// prepare warm-up (frontend compile plus reference run) entirely, the
+// dominant cost of a fully warm re-run.
 func (e *Evaluator) CacheCovers(b *bench.Benchmark, archs []machine.Arch) bool {
-	if e.Cache == nil || e.DisableMemo {
-		return false
-	}
 	kc := e.kernelClass(b)
 	for _, a := range archs {
 		if !e.Cache.Contains(b.Name, CacheKey(kc, a)) {
@@ -521,31 +413,23 @@ func (e *Evaluator) SpeedupBound(b *bench.Benchmark, baselineTime float64, cost 
 // runSweep performs the real unroll-until-spill sweep for one
 // (benchmark, architecture), returning the signature-invariant result.
 // Cancellation is observed between backend compiles (each is
-// milliseconds), so a cancelled sweep returns promptly with cancelled
-// set and failed cleared — abandoned work is not a compile failure.
-func (e *Evaluator) runSweep(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) sweepResult {
-	sw := sweepResult{failed: true}
+// milliseconds): a cancelled sweep returns promptly with an error
+// wrapping ErrCancelled — abandoned work is not a compile failure.
+func (e *Evaluator) runSweep(ctx context.Context, esp *obs.Span, b *bench.Benchmark, arch machine.Arch, sc *sched.Scratch) (evcache.Entry, error) {
+	sw := evcache.Entry{Failed: true}
 	for _, u := range UnrollFactors {
 		if ctx.Err() != nil {
-			sw.cancelled = true
-			sw.failed = false
-			return sw
+			return evcache.Entry{}, cancelledErr(ctx)
 		}
 		p := e.prepare(esp, b, u)
 		if p.err != nil {
 			break // unrollable limit reached (op budget etc.)
 		}
 		t0 := time.Now()
-		var res *sched.Result
-		var err error
-		if e.DisableDelta {
-			res, err = sched.CompilePrepared(esp, p.kernel, arch, sc)
-		} else {
-			res, err = sched.CompilePreparedDelta(esp, p.kernel, arch, sc)
-		}
+		res, err := e.compile(esp, p.kernel, arch, sc)
 		e.compileNS.Add(int64(time.Since(t0)))
 		e.Compilations.Add(1)
-		sw.runs++
+		sw.Runs++
 		obs.GetCounter("dse.compiles").Inc()
 		if err != nil {
 			if errors.Is(err, sched.ErrNoFit) {
@@ -556,15 +440,15 @@ func (e *Evaluator) runSweep(ctx context.Context, esp *obs.Span, b *bench.Benchm
 			break
 		}
 		cycles := res.Prog.StaticCycles(p.visits)
-		if sw.failed || cycles < sw.cycles {
-			sw.failed = false
-			sw.unroll = u
-			sw.cycles = cycles
-			sw.spilled = res.Spilled
+		if sw.Failed || cycles < sw.Cycles {
+			sw.Failed = false
+			sw.Unroll = u
+			sw.Cycles = cycles
+			sw.Spilled = res.Spilled
 		}
 		if res.Spilled > 0 {
 			break // spilled: stop considering larger unroll factors
 		}
 	}
-	return sw
+	return sw, nil
 }

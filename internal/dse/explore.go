@@ -44,18 +44,12 @@ type Explorer struct {
 	Archs      []machine.Arch // default: machine.FullSpace()
 	Workers    int            // default: GOMAXPROCS
 	Width      int            // reference workload width (default 96)
-	// DisableMemo turns off the evaluator's arch-signature memoization
-	// (see docs/PERFORMANCE.md) so every arrangement runs real backend
-	// compiles.
-	DisableMemo bool
-	// DisableDelta turns off the evaluator's delta compilation (see
-	// Evaluator.DisableDelta); results are bit-identical either way.
-	DisableDelta bool
-	// Cache, when set, is the persistent evaluation cache threaded into
-	// the evaluator (see internal/evcache). Results are identical with
-	// or without it; a warm cache skips backend work entirely, and when
-	// it covers a benchmark's whole (arch × kernel) slice the prepare
-	// warm-up is skipped too.
+	// Cache, when set, replaces the evaluator's memory-only result
+	// store with a persistent (or fleet-tiered) evaluation cache (see
+	// internal/evcache). Results are identical with or without it; a
+	// warm cache skips backend work entirely, and when it covers a
+	// benchmark's whole (arch × kernel) slice the prepare warm-up is
+	// skipped too.
 	Cache *evcache.Cache
 	// Progress, if set, is called with monotonically increasing Done
 	// counts as evaluations complete. Calls are serialized, but never
@@ -167,9 +161,9 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 	ev := NewEvaluator()
 	ev.Width = width
 	ev.Cycle = e.Cycle
-	ev.DisableMemo = e.DisableMemo
-	ev.DisableDelta = e.DisableDelta
-	ev.Cache = e.Cache
+	if e.Cache != nil {
+		ev.Cache = e.Cache
+	}
 
 	res := &Results{
 		Archs:   archs,
@@ -189,7 +183,7 @@ func (e *Explorer) RunCtx(ctx context.Context) (*Results, error) {
 
 	// Warm the per-benchmark caches serially (one prepare per unroll)
 	// so workers do not duplicate the work under the cache lock. When
-	// the persistent cache already covers a benchmark's whole slice of
+	// the result store already covers a benchmark's whole slice of
 	// the space, skip its warm-up: no sweep will run, so the frontend
 	// compiles and reference runs — the dominant cost of a warm re-run —
 	// are never needed.

@@ -24,9 +24,9 @@ func testOpSet(t *testing.T) *machine.OpSet {
 	return set
 }
 
-// TestOpSigSeparation pins the memoization boundary: an op-enabled
+// TestOpSigSeparation pins the sharing boundary: an op-enabled
 // architecture must never share a signature class — and therefore never
-// share memoized sweeps or evaluation-cache entries — with its op-free
+// share evaluation-cache entries — with its op-free
 // base, or with the same base under a different mask.
 func TestOpSigSeparation(t *testing.T) {
 	set := testOpSet(t)

@@ -11,7 +11,8 @@ import (
 // schedule, allocate, spill) can observe. Two architectures with equal
 // signatures are compiled identically — they differ only in datapath
 // cost and in the cycle-time derate, both applied outside the backend —
-// so the evaluator reuses one sweep for the whole signature class.
+// so the evaluator's result store (Evaluator.Cache) holds one sweep for
+// the whole signature class.
 //
 // Field inventory against the backend's reads:
 //
@@ -44,8 +45,8 @@ type archSig struct {
 }
 
 // key renders the signature as the stable string that, combined with
-// the kernel-class hash, content-addresses a persistent cache entry
-// (see internal/evcache and Evaluator.Cache).
+// the kernel-class hash, content-addresses a result-store entry (see
+// internal/evcache and Evaluator.Cache).
 func (s archSig) key() string {
 	k := fmt.Sprintf("c%d.a%d.m%d.r%d.p%d.l%d",
 		s.Clusters, s.ALUsPC, s.MULsPC, s.RegsPC, s.L2Ports, s.L2Lat)
@@ -63,8 +64,8 @@ func (s archSig) key() string {
 // keys are compiled identically (see archSig), so anything that
 // partitions the design space across evaluators — the distributed
 // coordinator in internal/dist — should keep equal-keyed architectures
-// in one partition: the memo layer then deduplicates their backend
-// work exactly as a single local run would.
+// in one partition: the evaluator's result store then deduplicates
+// their backend work exactly as a single local run would.
 func SigKey(a machine.Arch) string { return sigOf(a).key() }
 
 // sigOf maps an architecture to its backend signature.

@@ -1,17 +1,19 @@
 package dse
 
 import (
+	"context"
 	"testing"
 
 	"customfit/internal/bench"
+	"customfit/internal/evcache"
 	"customfit/internal/machine"
 )
 
-// TestSignatureClassesCompileIdentically is the property behind the
-// memoization: with the memo disabled, every architecture in the full
-// space must produce exactly the same backend sweep as its signature
-// class representative — same chosen unroll, static cycles, spill count
-// and failure status — and the same cycle-time derate, so the memoized
+// TestSignatureClassesCompileIdentically is the property behind sharing
+// one stored sweep per signature class: the uncached sweep of every
+// architecture in the full space must equal its signature class
+// representative's — same chosen unroll, static cycles, spill count and
+// failure status — and the cycle-time derates must agree, so a shared
 // Evaluation (including Time) is exact, not approximate.
 func TestSignatureClassesCompileIdentically(t *testing.T) {
 	if testing.Short() {
@@ -22,14 +24,17 @@ func TestSignatureClassesCompileIdentically(t *testing.T) {
 	}
 	ev := NewEvaluator()
 	ev.Width = 48
-	ev.DisableMemo = true
 	b := bench.ByName("G")
-	reps := map[archSig]Evaluation{}
+	ctx := context.Background()
+	reps := map[archSig]evcache.Entry{}
 	repArch := map[archSig]machine.Arch{}
 	dupes := 0
 	for _, a := range machine.FullSpace() {
 		sig := sigOf(a)
-		got := ev.Evaluate(b, a)
+		got, err := ev.runSweep(ctx, nil, b, a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rep, ok := reps[sig]
 		if !ok {
 			reps[sig] = got
@@ -49,17 +54,18 @@ func TestSignatureClassesCompileIdentically(t *testing.T) {
 		}
 	}
 	if dupes == 0 {
-		t.Fatal("full space has no signature-isomorphic arrangements; the memo is untestable")
+		t.Fatal("full space has no signature-isomorphic arrangements; class sharing is untestable")
 	}
-	t.Logf("%d signature classes cover %d architectures (%d memoizable)",
+	t.Logf("%d signature classes cover %d architectures (%d shared)",
 		len(reps), len(machine.FullSpace()), dupes)
 }
 
-// TestMemoMatchesDirectCompile checks the memo end to end on a known
-// signature-isomorphic pair: 2 MULs vs 4 MULs across 4 clusters both
-// floor to MULsPC=1, so the backend cannot tell them apart. The
-// memoized evaluator must return exactly what a memo-less evaluator
-// computes for each, and must count the hit's logical runs.
+// TestMemoMatchesDirectCompile checks class sharing end to end on a
+// known signature-isomorphic pair: 2 MULs vs 4 MULs across 4 clusters
+// both floor to MULsPC=1, so the backend cannot tell them apart. An
+// evaluator with no persistent cache attached must compile the pair
+// once, return exactly what the uncached sweep computes for each, and
+// count the hit's logical runs.
 func TestMemoMatchesDirectCompile(t *testing.T) {
 	a1 := machine.Arch{ALUs: 8, MULs: 2, Regs: 256, L2Ports: 1, L2Lat: 4, Clusters: 4}
 	a2 := machine.Arch{ALUs: 8, MULs: 4, Regs: 256, L2Ports: 1, L2Lat: 4, Clusters: 4}
@@ -68,30 +74,32 @@ func TestMemoMatchesDirectCompile(t *testing.T) {
 	}
 	b := bench.ByName("G")
 
-	memod := NewEvaluator()
-	memod.Width = 48
+	ev := NewEvaluator()
+	ev.Width = 48
+	m1 := ev.Evaluate(b, a1)
+	runsAfterMiss := ev.Compilations.Load()
+	m2 := ev.Evaluate(b, a2)
+	runsAfterHit := ev.Compilations.Load()
+	if st := ev.Cache.Stats(); st.Computes != 1 || st.Hits != 1 {
+		t.Errorf("isomorphic pair: store stats %+v, want 1 compute and 1 hit", st)
+	}
+
 	direct := NewEvaluator()
 	direct.Width = 48
-	direct.DisableMemo = true
-
-	m1 := memod.Evaluate(b, a1)
-	runsAfterMiss := memod.Compilations.Load()
-	m2 := memod.Evaluate(b, a2)
-	runsAfterHit := memod.Compilations.Load()
-	d1 := direct.Evaluate(b, a1)
-	d2 := direct.Evaluate(b, a2)
-
-	if m1 != d1 {
-		t.Errorf("memoized %v = %+v, direct = %+v", a1, m1, d1)
+	for _, c := range []struct {
+		arch machine.Arch
+		got  Evaluation
+	}{{a1, m1}, {a2, m2}} {
+		sw, err := direct.runSweep(context.Background(), nil, b, c.arch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := c.got; g.Unroll != sw.Unroll || g.Cycles != sw.Cycles || g.Spilled != sw.Spilled ||
+			g.Failed != sw.Failed || g.Time != float64(sw.Cycles)*direct.Cycle.Derate(c.arch) {
+			t.Errorf("stored %v = %+v, uncached sweep = %+v", c.arch, g, sw)
+		}
 	}
-	if m2 != d2 {
-		t.Errorf("memoized %v = %+v, direct = %+v", a2, m2, d2)
-	}
-	// Same class, so even the raw cycles agree across the pair.
-	if m1.Cycles != m2.Cycles || m1.Unroll != m2.Unroll || m1.Spilled != m2.Spilled {
-		t.Errorf("isomorphic pair disagrees: %+v vs %+v", m1, m2)
-	}
-	// The hit must re-count the cached sweep's runs (logical Table 3
+	// The hit must re-count the stored sweep's runs (logical Table 3
 	// accounting), doubling the counter rather than leaving it flat.
 	if runsAfterHit != 2*runsAfterMiss {
 		t.Errorf("Compilations after hit = %d, want %d (logical re-count of the %d-run sweep)",

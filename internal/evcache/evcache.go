@@ -84,7 +84,7 @@ type Entry struct {
 	Failed  bool  `json:"f,omitempty"`
 	// Runs is how many backend compilations the sweep performed, so a
 	// cache hit can re-count them as logical runs (the paper's Table 3
-	// accounting, matching the arch-signature memo layer).
+	// accounting).
 	Runs int64 `json:"r"`
 }
 
@@ -168,8 +168,8 @@ type header struct {
 }
 
 // Open returns a cache persisting under dir, creating the directory if
-// needed. An empty dir yields a memory-only cache (useful for tests
-// and single-process warm sharing).
+// needed. An empty dir yields a memory-only cache: the evaluator's
+// default result store (see dse.NewEvaluator), and useful for tests.
 func Open(dir string) (*Cache, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -57,11 +57,13 @@ func CompileSpan(sp *obs.Span, prepared *ir.Func, arch machine.Arch) (*Result, e
 	return CompilePrepared(sp, NewPrepared(prepared), arch, nil)
 }
 
-// CompilePrepared is the explorer's hot path: it compiles a shared
-// Prepared kernel for one architecture, reusing the kernel's cached
-// dependence skeletons (per L2 latency class) and the caller's Scratch
-// arena. prep may be shared across concurrent workers; sc may not
-// (pass nil to allocate a private one). The prepared IR is not mutated.
+// CompilePrepared is the full compile driver — the explorer's miss
+// path behind CompilePreparedDelta, and the cold path of one-off
+// compiles: it compiles a shared Prepared kernel for one architecture,
+// reusing the kernel's cached pristine dependence skeletons (per L2
+// latency) and the caller's Scratch arena. prep may be shared across
+// concurrent workers; sc may not (pass nil to allocate a private one).
+// The prepared IR is not mutated.
 func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
@@ -109,7 +111,7 @@ func CompilePrepared(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratc
 		psp.End()
 		var skels []*ddg.Skeleton
 		if singleCluster && pristine && iter == 1 {
-			skels = prep.skeletons(arch)
+			skels = prep.skeletons(pristineClass, prep.F, arch)
 		}
 		// After two failed greedy rounds, fall back to program-order
 		// priority: a valid execution order whose pressure tracks the

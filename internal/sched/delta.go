@@ -16,9 +16,11 @@ import (
 // Delta compilation: the explorer's stochastic strategies evaluate
 // one-parameter neighbors of architectures they have already compiled,
 // so almost all backend work is provably repeatable. A deltaState
-// caches, per (Clusters, MinMax) class of one Prepared kernel, the
-// transforms that rewrite the instruction stream (min/max fusion,
-// cluster partitioning) together with their liveness analysis, then
+// caches, per partition class (classKey) of one Prepared kernel, the
+// transforms that rewrite the instruction stream (custom ops, min/max
+// fusion, cluster partitioning) together with their liveness analysis
+// — its dependence skeletons live in the Prepared's skeleton map under
+// the same class, so fused and clustered machines reuse them too — then
 // keeps a small per-block cache of finished schedules keyed by the
 // exact resource parameters each block can observe plus the dynamic
 // certificates scheduleBlock records (schedCert). A second, tiny memo
@@ -34,18 +36,6 @@ import (
 // programs to CompilePrepared's first iteration. Anything the delta
 // path cannot prove — a spill, a scheduler error, a pressure-bound
 // block under a different budget — falls back to the full driver.
-
-// deltaKey selects a cached partition class. Custom-op rewriting,
-// min/max fusion and cluster partitioning are the only transforms that
-// rewrite the instruction stream before scheduling, and each reads
-// exactly one architecture parameter (Ops, MinMax, Clusters). The ops
-// component is the enabled-spec content key, so two masks enabling the
-// same specs share a class.
-type deltaKey struct {
-	clusters int
-	minmax   bool
-	ops      string
-}
 
 // blockInfo records which architecture parameters a block's
 // instructions can observe during scheduling. A parameter no
@@ -101,29 +91,26 @@ const (
 // after the once; the schedule/alloc caches are mutex-guarded. Safe
 // for concurrent use by many workers.
 type deltaState struct {
-	once   sync.Once
-	g      *ir.Func
-	pl     *Placement
-	lv     *opt.Liveness
-	info   []blockInfo
-	shared bool // pristine single-cluster: reuse Prepared's skeletons
+	once sync.Once
+	g    *ir.Func
+	pl   *Placement
+	lv   *opt.Liveness
+	info []blockInfo
 
 	mu       sync.Mutex
 	nextID   uint32
 	blocks   [][]blockEntry
 	blockPos []int
-	skels    map[int]*skelSet // own per-L2Lat skeletons when !shared
 	allocs   []allocEntry
 	allocPos int
 }
 
-// delta returns the state for arch's partition class, building it on
-// first use (once per class, off the cache lock).
-func (p *Prepared) delta(arch machine.Arch) *deltaState {
-	key := deltaKey{clusters: arch.Clusters, minmax: arch.MinMax, ops: arch.Ops.Key()}
+// delta returns the state for partition class key (arch's), building
+// it on first use (once per class, off the cache lock).
+func (p *Prepared) delta(key classKey, arch machine.Arch) *deltaState {
 	p.mu.Lock()
 	if p.deltas == nil {
-		p.deltas = make(map[deltaKey]*deltaState)
+		p.deltas = make(map[classKey]*deltaState)
 	}
 	ds := p.deltas[key]
 	if ds == nil {
@@ -154,7 +141,6 @@ func (ds *deltaState) build(src *ir.Func, arch machine.Arch) {
 	} else {
 		ds.g, ds.pl = PartitionClone(work, arch)
 	}
-	ds.shared = arch.Clusters <= 1 && !arch.MinMax && arch.Ops.Empty()
 	ds.lv = opt.ComputeLiveness(ds.g)
 	ds.info = make([]blockInfo, len(ds.g.Blocks))
 	ds.blocks = make([][]blockEntry, len(ds.g.Blocks))
@@ -181,35 +167,6 @@ func (ds *deltaState) build(src *ir.Func, arch machine.Arch) {
 			}
 		}
 	}
-}
-
-// skeletons returns per-block dependence skeletons for arch's L2
-// latency class over the state's partitioned function. The pristine
-// single-cluster state shares the Prepared's skeleton cache (its
-// blocks are instruction-identical); fused or clustered states keep
-// their own, which extends skeleton reuse to machines the original
-// driver rebuilt them for every compile.
-func (ds *deltaState) skeletons(p *Prepared, arch machine.Arch) []*ddg.Skeleton {
-	if ds.shared {
-		return p.skeletons(arch)
-	}
-	ds.mu.Lock()
-	if ds.skels == nil {
-		ds.skels = make(map[int]*skelSet)
-	}
-	s := ds.skels[arch.L2Lat]
-	if s == nil {
-		s = &skelSet{}
-		ds.skels[arch.L2Lat] = s
-	}
-	ds.mu.Unlock()
-	s.once.Do(func() {
-		s.blocks = make([]*ddg.Skeleton, len(ds.g.Blocks))
-		for i, b := range ds.g.Blocks {
-			s.blocks[i] = ddg.BuildSkeleton(b, arch)
-		}
-	})
-	return s.blocks
 }
 
 // deltaParams are the arch-derived values a cached block entry is
@@ -347,30 +304,26 @@ func (ds *deltaState) allocInsert(ids []uint32, maxLive, assign []int) (ml, as [
 // valid only until the next compile through the same Scratch. Callers
 // that retain programs should use CompilePrepared.
 func CompilePreparedDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, error) {
-	res, ok, err := CompileDelta(sp, prep, arch, sc)
-	if err != nil {
+	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
-	if ok {
+	if sc == nil {
+		sc = NewScratch()
+	}
+	if res := compileDelta(sp, prep, arch, sc); res != nil {
 		return res, nil
 	}
 	obs.GetCounter("sched.delta_fallbacks").Inc()
 	return CompilePrepared(sp, prep, arch, sc)
 }
 
-// CompileDelta attempts the delta-path compile. ok=false means the
-// caller must run the full CompilePrepared (the program needs spill
-// iterations, or scheduling failed — the full driver reproduces the
-// identical error). See CompilePreparedDelta for the Result's arena
-// lifetime.
-func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) (*Result, bool, error) {
-	if err := arch.Validate(); err != nil {
-		return nil, false, err
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	ds := prep.delta(arch)
+// compileDelta attempts the delta-path compile of a validated arch,
+// returning nil when the full driver must run instead: the program
+// needs spill iterations, or scheduling failed (the full driver
+// reproduces the identical error with its own wrapping).
+func compileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) *Result {
+	cls := classOf(arch)
+	ds := prep.delta(cls, arch)
 	params := deltaParams{
 		aluPC:   arch.ALUsPC(),
 		mulPC:   arch.MULsPC(),
@@ -399,13 +352,11 @@ func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) 
 		sb, id, ok := ds.lookup(bi, params)
 		if !ok {
 			if skels == nil {
-				skels = ds.skeletons(prep, arch)
+				skels = prep.skeletons(cls, ds.g, arch)
 			}
 			fresh, cert, err := scheduleBlock(ds.g, ds.g.Blocks[bi], arch, ds.pl, ds.lv, capRaw, blame, false, skels[bi], sc)
 			if err != nil {
-				// The full driver reproduces this error with its own
-				// wrapping; don't duplicate the formatting here.
-				return nil, false, nil
+				return nil
 			}
 			sb, id = fresh, ds.insert(bi, params, cert, fresh)
 		} else {
@@ -433,7 +384,7 @@ func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) 
 	if !ok {
 		ra := regalloc.AllocateReuse(csp, prog, ds.lv, sc.RA)
 		if !ra.Fits {
-			return nil, false, nil
+			return nil
 		}
 		maxLive, assign = ds.allocInsert(ids, ra.MaxLive, ra.Assign)
 	} else {
@@ -447,5 +398,5 @@ func CompileDelta(sp *obs.Span, prep *Prepared, arch machine.Arch, sc *Scratch) 
 	}
 	res := &sc.result
 	*res = Result{Prog: prog, Spilled: 0, Iterations: 1}
-	return res, true, nil
+	return res
 }

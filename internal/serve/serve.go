@@ -12,7 +12,8 @@
 // Identical explore/fit requests coalesce onto one in-flight job (the
 // pipeline is deterministic, so equal requests have equal answers), and
 // concurrent distinct explorations still share work through the
-// arch-signature memo and the optional persistent evaluation cache.
+// optional persistent evaluation cache (without one, each job's
+// evaluator keeps its own memory-only store).
 // When a cache is attached it is additionally served to the fleet:
 // GET /v1/cache/{shard}/{key} and batched POST /v1/cache/{shard}
 // (put/has) make this process a cache peer other workers read through
